@@ -1,5 +1,5 @@
 //! Durability costs: WAL append throughput per fsync policy, snapshot
-//! (checkpoint) writes, and cold recovery vs. journal length.
+//! (checkpoint) writes, and cold recovery vs. WAL length.
 //!
 //! The WAL-append benches run against real files ([`StdVfs`] rooted under
 //! `CARGO_TARGET_TMPDIR`), because the number being measured *is* the
@@ -114,7 +114,7 @@ fn benches(c: &mut Criterion) {
                 let vfs: Arc<dyn Vfs> = Arc::new(image.clone());
                 let (store, report) = DurableStore::open(vfs, FsyncPolicy::Never).unwrap();
                 assert!(report.torn_tail.is_none());
-                black_box(store.store().journal().end());
+                black_box(store.op_count());
             });
         });
     }

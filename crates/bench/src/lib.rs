@@ -18,7 +18,7 @@
 //! * `mutation` — delete-rederive maintenance of a 1-tuple retraction
 //!   against a 100k-product catalog vs. full re-evaluation;
 //! * `durability` — WAL append throughput per fsync policy (real files),
-//!   snapshot writes, and cold recovery vs. journal length;
+//!   snapshot writes, and cold recovery vs. WAL length;
 //! * `bs_sat` — grounded Bernays–Schönfinkel satisfiability scaling.
 //!
 //! The library itself only hosts shared helpers.

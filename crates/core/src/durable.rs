@@ -2,28 +2,25 @@
 //! storage.
 //!
 //! [`Runtime`] alone serves sessions against an in-memory
-//! [`ResidentDb`]; a process restart loses the
-//! catalog.  [`DurableRuntime`] closes that gap by pairing the runtime with
-//! an [`rtx_store::DurableStore`]: every catalog mutation is write-ahead
-//! logged through the store's [`Vfs`] *before* it reaches
-//! the resident database, and [`Runtime::open_durable`] recovers the exact
-//! committed catalog after a crash — snapshot, WAL tail replay, torn-tail
-//! handling and all (see the `rtx-store` crate docs for the lifecycle).
+//! [`ResidentDb`](rtx_datalog::ResidentDb); a process restart loses the
+//! catalog.  [`DurableRuntime`] closes that gap by serving the database an
+//! [`rtx_store::DurableStore`] owns: every catalog mutation is write-ahead
+//! logged through the store's [`Vfs`] *before* it reaches the resident
+//! database, and [`Runtime::open_durable`] recovers the exact committed
+//! catalog after a crash — snapshot, WAL tail replay, torn-tail handling and
+//! all (see the `rtx-store` crate docs for the lifecycle).
 //!
-//! Ordering per mutation: WAL append (+ fsync per
-//! [`FsyncPolicy`]) → in-memory [`rtx_store::Store`] apply →
-//! journal suffix replayed into the shared `ResidentDb` via
-//! [`ResidentSync`], bumping exactly the touched relation's version stamp so
-//! open sessions reseed only what changed.  The [`ResidentSync`] cursor uses
-//! absolute journal offsets, so [`DurableRuntime::checkpoint`] (which
-//! truncates the journal) never desynchronizes it.
+//! Ordering per mutation: WAL append (+ fsync per [`FsyncPolicy`]) →
+//! resident apply, which bumps exactly the touched relation's version stamp
+//! so open sessions reseed only what changed.
+//! [`DurableRuntime::checkpoint`] snapshots the resident database and leaves
+//! it, and the sessions reading it, untouched.
 
 use crate::shard::{ShardedRuntime, ShardedSession};
 use crate::{CoreError, Runtime, Session, SpocusTransducer};
-use rtx_datalog::ResidentDb;
 use rtx_relational::Tuple;
-use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, ResidentSync, Vfs};
-use std::sync::{Arc, Mutex};
+use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, Vfs};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A [`Runtime`] whose catalog survives process crashes: mutations go
 /// through a write-ahead log and recovery rebuilds the resident database
@@ -31,27 +28,16 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct DurableRuntime {
     runtime: Runtime,
-    durable: Mutex<DurableState>,
+    store: Mutex<DurableStore>,
 }
 
-#[derive(Debug)]
-struct DurableState {
-    store: DurableStore,
-    sync: ResidentSync,
-}
-
-impl DurableState {
-    /// Replays the journal suffix of the last mutation into the shared
-    /// resident database.
-    fn flow(&mut self, db: &Arc<ResidentDb>) -> Result<(), CoreError> {
-        self.sync.sync(self.store.store(), db)?;
-        Ok(())
-    }
+fn lock(store: &Mutex<DurableStore>) -> MutexGuard<'_, DurableStore> {
+    store.lock().expect("durable store poisoned")
 }
 
 impl Runtime {
     /// Opens (or recovers) a durable runtime on `vfs`: persisted state is
-    /// recovered by the [`DurableStore`], made resident once, and served to
+    /// recovered by the [`DurableStore`] and its resident database served to
     /// sessions exactly like an in-memory [`Runtime`].
     ///
     /// The fsync `policy` may be overridden by the `RTX_FSYNC` environment
@@ -61,11 +47,10 @@ impl Runtime {
         policy: FsyncPolicy,
     ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
         let (store, report) = DurableStore::open(vfs, policy)?;
-        let (resident, sync) = store.store().to_resident()?;
         Ok((
             DurableRuntime {
-                runtime: Runtime::shared(Arc::new(resident)),
-                durable: Mutex::new(DurableState { store, sync }),
+                runtime: Runtime::shared(Arc::clone(store.database())),
+                store: Mutex::new(store),
             },
             report,
         ))
@@ -94,74 +79,56 @@ impl DurableRuntime {
         arity: usize,
         attributes: Option<Vec<String>>,
     ) -> Result<(), CoreError> {
-        let mut state = self.lock();
-        state.store.create_table(name, arity, attributes)?;
-        self.flow(&mut state)
+        Ok(lock(&self.store).create_table(name, arity, attributes)?)
     }
 
     /// Inserts a catalog row durably, then makes it resident.  Open
     /// sessions observe the change at their next step.  Returns `true` if
     /// the row was new.
     pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let new = state.store.insert(table, row)?;
-        self.flow(&mut state)?;
-        Ok(new)
+        Ok(lock(&self.store).insert(table, row)?)
     }
 
     /// Retracts a catalog row durably, then removes it from the resident
     /// database.  Returns `true` if the row was present.
     pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let removed = state.store.retract(table, row)?;
-        self.flow(&mut state)?;
-        Ok(removed)
+        Ok(lock(&self.store).retract(table, row)?)
     }
 
     /// Forces every acknowledged write to stable storage, regardless of the
     /// fsync policy.
     pub fn sync(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.sync()?)
+        Ok(lock(&self.store).sync()?)
     }
 
     /// Checkpoints the backing store: snapshots the catalog and truncates
     /// the WAL (see [`DurableStore::checkpoint`]).  The resident database
-    /// and open sessions are unaffected — the journal's monotone base
-    /// offset keeps the internal [`ResidentSync`] cursor valid across the
-    /// truncation.
+    /// and open sessions are unaffected.
     pub fn checkpoint(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.checkpoint()?)
+        Ok(lock(&self.store).checkpoint()?)
     }
 
     /// The backing store's snapshot/WAL epoch (bumped per checkpoint).
     pub fn epoch(&self) -> u64 {
-        self.lock().store.epoch()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, DurableState> {
-        self.durable.lock().expect("durable state poisoned")
-    }
-
-    fn flow(&self, state: &mut DurableState) -> Result<(), CoreError> {
-        state.flow(self.runtime.database())
+        lock(&self.store).epoch()
     }
 }
 
 /// A [`ShardedRuntime`] whose catalog survives process crashes: **one**
-/// [`DurableStore`] write-ahead logs every catalog mutation and feeds every
-/// shard through the single shared `Arc<ResidentDb>` — shards never hold
-/// divergent catalog copies, and recovery rebuilds the fleet's database
-/// bit-identically regardless of the shard count it reopens with.
+/// [`DurableStore`] write-ahead logs every catalog mutation and owns the
+/// single `Arc<ResidentDb>` every shard reads — shards never hold divergent
+/// catalog copies, and recovery rebuilds the fleet's database bit-identically
+/// regardless of the shard count it reopens with.
 #[derive(Debug)]
 pub struct ShardedDurableRuntime {
     sharded: ShardedRuntime,
-    durable: Mutex<DurableState>,
+    store: Mutex<DurableStore>,
 }
 
 impl ShardedRuntime {
     /// Opens (or recovers) a sharded durable runtime on `vfs`: persisted
-    /// state is recovered by the [`DurableStore`], made resident **once**,
-    /// and served to sessions on `shards` shard runtimes.  The fsync
+    /// state is recovered by the [`DurableStore`] and its one resident
+    /// database served to sessions on `shards` shard runtimes.  The fsync
     /// `policy` may be overridden by the `RTX_FSYNC` environment variable
     /// (see [`FsyncPolicy::from_env`]; a malformed value is a hard error).
     pub fn open_durable(
@@ -170,11 +137,10 @@ impl ShardedRuntime {
         shards: usize,
     ) -> Result<(ShardedDurableRuntime, RecoveryReport), CoreError> {
         let (store, report) = DurableStore::open(vfs, policy)?;
-        let (resident, sync) = store.store().to_resident()?;
         Ok((
             ShardedDurableRuntime {
-                sharded: ShardedRuntime::shared(Arc::new(resident), shards),
-                durable: Mutex::new(DurableState { store, sync }),
+                sharded: ShardedRuntime::shared(Arc::clone(store.database()), shards),
+                store: Mutex::new(store),
             },
             report,
         ))
@@ -205,49 +171,37 @@ impl ShardedDurableRuntime {
         arity: usize,
         attributes: Option<Vec<String>>,
     ) -> Result<(), CoreError> {
-        let mut state = self.lock();
-        state.store.create_table(name, arity, attributes)?;
-        state.flow(self.sharded.database())
+        Ok(lock(&self.store).create_table(name, arity, attributes)?)
     }
 
     /// Inserts a catalog row durably, then makes it resident.  Open
     /// sessions on every shard observe the change at their next step.
     /// Returns `true` if the row was new.
     pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let new = state.store.insert(table, row)?;
-        state.flow(self.sharded.database())?;
-        Ok(new)
+        Ok(lock(&self.store).insert(table, row)?)
     }
 
     /// Retracts a catalog row durably, then removes it from the resident
     /// database shared by every shard.  Returns `true` if the row was
     /// present.
     pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
-        let mut state = self.lock();
-        let removed = state.store.retract(table, row)?;
-        state.flow(self.sharded.database())?;
-        Ok(removed)
+        Ok(lock(&self.store).retract(table, row)?)
     }
 
     /// Forces every acknowledged write to stable storage, regardless of the
     /// fsync policy.
     pub fn sync(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.sync()?)
+        Ok(lock(&self.store).sync()?)
     }
 
     /// Checkpoints the backing store — see [`DurableRuntime::checkpoint`].
     pub fn checkpoint(&self) -> Result<(), CoreError> {
-        Ok(self.lock().store.checkpoint()?)
+        Ok(lock(&self.store).checkpoint()?)
     }
 
     /// The backing store's snapshot/WAL epoch (bumped per checkpoint).
     pub fn epoch(&self) -> u64 {
-        self.lock().store.epoch()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, DurableState> {
-        self.durable.lock().expect("durable state poisoned")
+        lock(&self.store).epoch()
     }
 }
 
@@ -332,9 +286,8 @@ mod tests {
         let (rt, _) = open(&vfs);
         seed_figure1(&rt);
         let v0 = rt.runtime().database().version();
-        // A checkpoint truncates the journal mid-stream; the next mutation
-        // must still flow into the resident database (regression guard for
-        // the absolute-offset ResidentSync cursor).
+        // A checkpoint truncates the WAL mid-stream; the next mutation must
+        // still reach the resident database.
         rt.checkpoint().unwrap();
         rt.insert(
             "price",

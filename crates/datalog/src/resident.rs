@@ -126,6 +126,22 @@ impl ResidentDb {
         self.read().instance.schema()
     }
 
+    /// The arity of one relation, or `None` if the database has no relation
+    /// of that name.
+    pub fn arity(&self, name: &RelationName) -> Option<usize> {
+        self.read().instance.get(name).map(|r| r.arity())
+    }
+
+    /// True if the named relation holds `tuple`.  Unlike testing membership
+    /// on a [`ResidentDb::snapshot`], this holds no share of the relation
+    /// past the call, so a following mutation does not copy the tuple set.
+    pub fn contains(&self, name: &RelationName, tuple: &Tuple) -> bool {
+        self.read()
+            .instance
+            .get(name)
+            .is_some_and(|r| r.contains(tuple))
+    }
+
     /// Inserts a tuple, bumping the relation's version stamp if it was new.
     pub fn insert(
         &self,

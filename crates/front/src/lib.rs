@@ -39,6 +39,8 @@
 //! | `SHUTDOWN` | `OK bye` |
 //!
 //! plus `ERR <detail>` for any failure and `BUSY <detail>` for backpressure.
+//! A `BATCH` count above [`MAX_BATCH`] is answered `ERR` and ends the
+//! connection.
 //! `<facts>` is `-` (empty instance) or `rel(v,…);rel(v,…)` with integer or
 //! bare-string values — see [`parse_facts`]/[`render_instance`], which
 //! round-trip.
@@ -331,6 +333,10 @@ impl FrontServer {
     }
 }
 
+/// The most step lines one `BATCH` may carry.  A larger count is answered
+/// with `ERR` and the connection is closed.
+pub const MAX_BATCH: usize = 1 << 16;
+
 /// Handles one client connection: parse a command line, route it to the
 /// owning shard's queue (or answer directly for `HEALTH`/`SHUTDOWN`), relay
 /// the worker's reply lines.
@@ -414,7 +420,16 @@ fn serve_connection(
                         continue;
                     }
                 };
-                let mut facts = Vec::with_capacity(count);
+                if count > MAX_BATCH {
+                    // The refused step lines may already be on the wire and
+                    // would be read as commands: end the connection instead.
+                    writeln!(
+                        writer,
+                        "ERR batch of {count} steps exceeds the limit of {MAX_BATCH}"
+                    )?;
+                    return Ok(());
+                }
+                let mut facts = Vec::new();
                 for _ in 0..count {
                     let mut step_line = String::new();
                     if reader.read_line(&mut step_line)? == 0 {
@@ -739,6 +754,34 @@ mod tests {
         let addr = server.local_addr().unwrap();
         let serving = thread::spawn(move || server.serve());
         run_smoke(addr).unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn an_oversized_batch_count_is_refused_and_the_server_keeps_serving() {
+        let server = FrontServer::bind("127.0.0.1:0", FrontConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let serving = thread::spawn(move || server.serve());
+
+        // 22 bytes that once made the server allocate 24 TiB up front.
+        let line = b"BATCH x 1099511627776\n";
+        assert_eq!(line.len(), 22);
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile.write_all(line).unwrap();
+        let mut reader = BufReader::new(hostile);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("ERR batch of 1099511627776 steps"),
+            "{reply}"
+        );
+        // The server closed that connection.
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).unwrap(), 0);
+
+        let mut client = FrontClient::connect(addr).unwrap();
+        assert!(client.request("HEALTH").unwrap().starts_with("OK health"));
+        client.request_retrying("SHUTDOWN").unwrap();
         serving.join().unwrap().unwrap();
     }
 

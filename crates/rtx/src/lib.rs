@@ -11,7 +11,8 @@
 //! * [`sat`] — the SAT solver backing the decision procedures;
 //! * [`datalog`] — the semipositive non-recursive datalog¬≠ engine;
 //! * [`automata`] — finite automata for the `Gen(T)` characterisation;
-//! * [`store`] — the in-memory relational store behind the `db` relations;
+//! * [`store`] — the durable catalog behind the `db` relations: a resident
+//!   database with a write-ahead log, snapshots and crash recovery;
 //! * [`core`] — relational transducers, Spocus transducers, the DSL, and the
 //!   paper's worked models (`short`, `friendly`, `a b* c`);
 //! * [`verify`] — log validation, goal reachability, temporal properties,

@@ -1,42 +1,32 @@
 //! # rtx-store
 //!
-//! An in-memory relational store — the substrate standing in for the external
-//! database the paper assumes behind the `db` relations of a transducer
-//! schema ("the db relations represent a database used by the system,
-//! possibly very large and external", §2.2; the prototype of \[FAY97\] used
-//! Postgres).
+//! The durable catalog — the substrate standing in for the external database
+//! the paper assumes behind the `db` relations of a transducer schema ("the
+//! db relations represent a database used by the system, possibly very large
+//! and external", §2.2; the prototype of \[FAY97\] used Postgres).
 //!
-//! The store provides what the transducer runtime and the datalog engine
-//! need from such a database at laptop scale:
+//! [`DurableStore`] holds the catalog once, as the version-stamped
+//! [`ResidentDb`](rtx_datalog::ResidentDb) every session reads, and makes it
+//! survive crashes:
 //!
-//! * a [`Catalog`] of named tables with fixed arity and optional attribute
-//!   names;
-//! * hash-indexed [`Table`]s with O(1) duplicate detection and per-column
-//!   secondary indexes for selection;
-//! * selection / projection / equijoin primitives used by the workload
-//!   generators and benchmarks;
-//! * conversion to and from the `rtx-relational` [`Instance`](rtx_relational::Instance) type, which is
-//!   what the transducer runtime consumes at each step;
-//! * a write-ahead [`Journal`] (append-only operation log) with replay and
-//!   absolute base offsets that survive truncation;
-//! * a bridge to the resident runtime ([`Store::to_resident`] +
-//!   [`ResidentSync`]): the catalog becomes a version-stamped
-//!   [`ResidentDb`](rtx_datalog::ResidentDb) shared by every session, and
-//!   journal replay keeps it current with per-relation version bumps;
-//! * a crash-safe durable layer ([`DurableStore`]) over a pluggable storage
-//!   backend ([`Vfs`]), with deterministic fault injection ([`FaultVfs`])
-//!   for testing recovery.
+//! * named tables with a fixed arity and optional attribute names;
+//! * a write-ahead log and snapshots over a pluggable storage backend
+//!   ([`Vfs`]), with deterministic fault injection ([`FaultVfs`]) for
+//!   testing recovery.
 //!
 //! # Durability lifecycle
 //!
-//! The durable layer persists the store as **one snapshot plus a WAL tail**,
-//! moving through a fixed lifecycle:
+//! The durable layer persists the catalog as **one snapshot plus a WAL
+//! tail**, moving through a fixed lifecycle:
 //!
 //! 1. **Append** — every mutation is encoded as a length-prefixed,
 //!    CRC32-checksummed record and appended to the on-disk WAL *before* it is
-//!    applied to the in-memory catalog (write-ahead ordering).  Interned
+//!    applied to the resident database (write-ahead ordering).  Interned
 //!    symbols cross this boundary by text, so a recovering process (with an
 //!    empty [`SymbolTable`](rtx_relational::SymbolTable)) re-interns them.
+//!    The apply bumps only the touched relation's version stamp, so open
+//!    sessions reseed only what changed; a duplicate insert or an absent
+//!    retraction is neither logged nor applied.
 //! 2. **Fsync policy** — [`FsyncPolicy`] decides when appended records become
 //!    durable: `Always` (fsync per commit), `EveryN` (group commit), or
 //!    `Never` (leave it to the OS).  The `RTX_FSYNC` environment variable
@@ -45,10 +35,7 @@
 //!    a temp file, fsyncs it, and atomically renames it into place.  The
 //!    snapshot records the absolute operation count it captures.
 //! 4. **Truncate** — only after the snapshot is durable is the WAL reset (new
-//!    epoch, base offset = snapshot's operation count) and the in-memory
-//!    [`Journal`] cleared.  [`Journal::clear`] advances a monotone base
-//!    offset, so [`ResidentSync`] cursors holding absolute positions resume
-//!    correctly after truncation.
+//!    epoch, base offset = snapshot's operation count).
 //! 5. **Recover** — [`DurableStore::open`] loads the latest valid snapshot
 //!    and replays the WAL tail.  A torn final record (the classic
 //!    half-written append at the crash point) is detected by length/CRC
@@ -63,18 +50,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod catalog;
 mod durable;
-mod journal;
-mod resident;
-mod table;
 mod vfs;
 
-pub use catalog::{Catalog, Store};
 pub use durable::{DurableStore, FsyncPolicy, RecoveryReport, TornTail};
-pub use journal::{Journal, Operation};
-pub use resident::ResidentSync;
-pub use table::Table;
 pub use vfs::{Fault, FaultVfs, MemVfs, StdVfs, Vfs, VfsFile};
 
 /// Errors produced by the store.
@@ -84,7 +63,7 @@ pub enum StoreError {
     UnknownTable(String),
     /// A table was created twice.
     DuplicateTable(String),
-    /// A row of the wrong arity was inserted.
+    /// A row of the wrong arity was inserted or retracted.
     ArityMismatch {
         /// The table involved.
         table: String,
@@ -92,13 +71,6 @@ pub enum StoreError {
         expected: usize,
         /// Offending row arity.
         actual: usize,
-    },
-    /// A column index was out of range.
-    ColumnOutOfRange {
-        /// The table involved.
-        table: String,
-        /// The offending column index.
-        column: usize,
     },
     /// An error from the relational layer.
     Relational(rtx_relational::RelationalError),
@@ -120,16 +92,6 @@ pub enum StoreError {
         offset: u64,
         /// What the validator expected vs. what it found.
         reason: String,
-    },
-    /// A [`ResidentSync`] cursor points below the journal's base offset —
-    /// the operations it still needed were truncated away before it synced
-    /// them.  The cursor holder must rebuild its resident database from a
-    /// fresh [`Store::to_resident`].
-    JournalTruncated {
-        /// The cursor's absolute position.
-        applied: usize,
-        /// The journal's base offset (first operation still buffered).
-        base: usize,
     },
     /// A malformed configuration override (e.g. an unparseable `RTX_FSYNC`
     /// value).  Never produced for an *unset* variable — only a set value
@@ -154,18 +116,11 @@ impl std::fmt::Display for StoreError {
                 f,
                 "arity mismatch for table `{table}`: expected {expected}, got {actual}"
             ),
-            StoreError::ColumnOutOfRange { table, column } => {
-                write!(f, "column {column} out of range for table `{table}`")
-            }
             StoreError::Relational(e) => write!(f, "relational error: {e}"),
             StoreError::Io { context } => write!(f, "i/o error: {context}"),
             StoreError::Corrupt { offset, reason } => {
                 write!(f, "corrupt store data at byte {offset}: {reason}")
             }
-            StoreError::JournalTruncated { applied, base } => write!(
-                f,
-                "journal truncated past cursor: applied {applied} < base {base}"
-            ),
             StoreError::Config { detail } => write!(f, "configuration error: {detail}"),
         }
     }
@@ -183,10 +138,13 @@ impl From<rtx_relational::RelationalError> for StoreError {
 mod tests {
     use super::*;
     use rtx_relational::{Tuple, Value};
+    use std::sync::Arc;
 
     #[test]
     fn store_end_to_end() {
-        let mut store = Store::new();
+        let vfs = MemVfs::new();
+        let (mut store, _) =
+            DurableStore::open(Arc::new(vfs.clone()), FsyncPolicy::Always).unwrap();
         store
             .create_table("price", 2, Some(vec!["product".into(), "amount".into()]))
             .unwrap();
@@ -202,12 +160,20 @@ mod tests {
                 Tuple::from_iter(vec![Value::str("newsweek"), Value::int(845)]),
             )
             .unwrap();
-        let rows = store.select_eq("price", 0, &Value::str("time")).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get(1), Some(&Value::int(855)));
-
-        let instance = store.to_instance().unwrap();
+        let instance = store.database().snapshot();
         assert_eq!(instance.relation("price").unwrap().len(), 2);
+        assert!(instance.holds(
+            "price",
+            &Tuple::from_iter(vec![Value::str("time"), Value::int(855)])
+        ));
+        drop(store);
+
+        let (recovered, _) = DurableStore::open(Arc::new(vfs), FsyncPolicy::Always).unwrap();
+        assert_eq!(recovered.database().snapshot(), instance);
+        assert_eq!(
+            recovered.attributes("price"),
+            Some(&["product".to_string(), "amount".to_string()][..])
+        );
     }
 
     #[test]

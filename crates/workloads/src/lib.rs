@@ -281,8 +281,8 @@ pub fn browse_session(n_steps: usize, n_products: usize, seed: u64) -> InstanceS
 ///
 /// Every variant names the exact `price` rows it removes and adds, so a
 /// consumer can drive any retraction-aware layer — `ResidentDb`
-/// retract/insert calls, a `DredEngine` mutation batch, or store journal
-/// records — without re-deriving the catalog state.
+/// retract/insert calls, a `DredEngine` mutation batch, or durable-store
+/// writes — without re-deriving the catalog state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CatalogOp {
     /// A price change: `price` loses `(product, old)` and gains
@@ -382,10 +382,10 @@ pub fn catalog_mutations(db: &Instance, n_ops: usize, seed: u64) -> Vec<CatalogO
 /// One step of a [`crash_churn`] stream — the durable-store workload.
 ///
 /// Unlike [`CatalogOp`] (which speaks `price`-row deltas), churn operations
-/// mirror the store's journal vocabulary directly: create a table, insert a
-/// row, retract a row, or cut a checkpoint.  Every `Insert` is new at that
-/// point and every `Retract` targets a live row, so applying the stream in
-/// order is change-for-change — exactly what the WAL records.
+/// mirror the durable store's WAL vocabulary directly: create a table,
+/// insert a row, retract a row, or cut a checkpoint.  Every `Insert` is new
+/// at that point and every `Retract` targets a live row, so applying the
+/// stream in order is change-for-change — exactly what the WAL records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChurnOp {
     /// Create a table of the given arity.
@@ -629,6 +629,7 @@ pub fn scaled_database(body_width: usize, n_rows: usize) -> Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtx_relational::Schema;
     use rtx_verify::{validate_log, LogValidity};
 
     #[test]
@@ -678,19 +679,19 @@ mod tests {
             .iter()
             .any(|o| matches!(o, ChurnOp::Create { arity: 6, .. })));
 
-        // Applying in order through a plain Store is change-for-change:
+        // Applying in order to a plain instance is change-for-change:
         // every create is fresh, every insert new, every retract live.
-        let mut store = rtx_store::Store::new();
+        let mut db = Instance::empty(&Schema::default());
         for op in &ops {
             match op {
                 ChurnOp::Create { table, arity } => {
-                    store.create_table(table.clone(), *arity, None).unwrap();
+                    assert!(db.ensure_relation(table.as_str(), *arity).unwrap());
                 }
                 ChurnOp::Insert { table, row } => {
-                    assert!(store.insert(table, row.clone()).unwrap());
+                    assert!(db.insert(table.as_str(), row.clone()).unwrap());
                 }
                 ChurnOp::Retract { table, row } => {
-                    assert!(store.retract(table, row).unwrap());
+                    assert!(db.remove(table.as_str(), row).unwrap());
                 }
                 ChurnOp::Checkpoint => {}
             }

@@ -1,13 +1,13 @@
 //! Integration tests for the resident runtime: cross-session equivalence
 //! with one-shot runs (randomly interleaved and multi-threaded), the
 //! delta-only join guarantee of incremental steps, amortized index
-//! preparation across runs, and the store → resident bridge.
+//! preparation across runs, and the durable store feeding the runtime.
 
 use proptest::prelude::*;
 use rtx::core::Runtime;
 use rtx::datalog::ResidentDb;
 use rtx::prelude::*;
-use rtx::store::Store;
+use rtx::store::{FsyncPolicy, MemVfs};
 use std::sync::Arc;
 
 fn model() -> SpocusTransducer {
@@ -259,11 +259,11 @@ fn resident_preparation_is_amortized_across_100_runs() {
     assert_eq!(resident.index_builds(), 2);
 }
 
-/// Store → resident bridge: journal replay keeps a runtime's shared database
-/// current, and sessions observe the synced rows at their next step.
+/// Durable store → runtime: a write through the store reaches the runtime's
+/// shared database, and sessions observe the row at their next step.
 #[test]
 fn store_bridge_feeds_the_runtime() {
-    let mut store = Store::new();
+    let (store, _) = Runtime::open_durable(Arc::new(MemVfs::new()), FsyncPolicy::Never).unwrap();
     store.create_table("price", 2, None).unwrap();
     store.create_table("available", 1, None).unwrap();
     store.create_table("category", 2, None).unwrap();
@@ -280,8 +280,7 @@ fn store_bridge_feeds_the_runtime() {
         .insert("category", Tuple::from_iter(["news", "time"]))
         .unwrap();
 
-    let (resident, mut sync) = store.to_resident().unwrap();
-    let runtime = Runtime::shared(Arc::new(resident));
+    let runtime = store.runtime();
     let mut session = runtime.open_session("bridged", model()).unwrap();
 
     let input_schema = rtx::core::models::short_input_schema();
@@ -294,15 +293,17 @@ fn store_bridge_feeds_the_runtime() {
     let out = session.step(&order).unwrap();
     assert!(out.relation("sendbill").unwrap().is_empty());
 
-    // The catalog team prices it in the store; sync the journal suffix.
-    store
+    // The catalog team prices it in the store: one new row.
+    let price = RelationName::new("price");
+    let stamp = runtime.database().version_of(&price);
+    let applied = store
         .insert(
             "price",
             Tuple::new(vec![Value::str("economist"), Value::int(700)]),
         )
         .unwrap();
-    let applied = sync.sync(&store, runtime.database()).unwrap();
-    assert_eq!(applied, 1);
+    assert!(applied);
+    assert!(runtime.database().version_of(&price) > stamp);
 
     let out = session.step(&order).unwrap();
     assert!(out.holds(

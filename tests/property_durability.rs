@@ -12,10 +12,8 @@
 //! acknowledgement) one more.  Torn final records must be dropped with a
 //! report, never an error; everything is deterministic — no flakes.
 
-use rtx::relational::Instance;
-use rtx::store::{
-    DurableStore, Fault, FaultVfs, FsyncPolicy, MemVfs, RecoveryReport, Store, StoreError,
-};
+use rtx::relational::{Instance, Schema};
+use rtx::store::{DurableStore, Fault, FaultVfs, FsyncPolicy, MemVfs, RecoveryReport, StoreError};
 use rtx::workloads::{crash_churn, ChurnOp};
 use std::sync::Arc;
 
@@ -34,34 +32,34 @@ fn apply(store: &mut DurableStore, op: &ChurnOp) -> Result<(), StoreError> {
 }
 
 /// Reference states: `states[m]` is the catalog after the first `m` workload
-/// operations, and `journaled[m]` how many of those were journaled data
-/// operations (checkpoints are state-neutral and unjournaled).
+/// operations, and `journaled[m]` how many of those were logged data
+/// operations (checkpoints are state-neutral and unlogged).
 fn reference_states(ops: &[ChurnOp]) -> (Vec<Instance>, Vec<usize>) {
-    let mut store = Store::new();
-    let mut states = vec![store.to_instance().expect("empty instance")];
+    let mut db = Instance::empty(&Schema::default());
+    let mut states = vec![db.clone()];
     let mut journaled = vec![0usize];
     let mut data_ops = 0usize;
     for op in ops {
         match op {
             ChurnOp::Create { table, arity } => {
-                store
-                    .create_table(table.clone(), *arity, None)
-                    .expect("churn creates are fresh");
+                assert!(db
+                    .ensure_relation(table.as_str(), *arity)
+                    .expect("churn creates are fresh"));
                 data_ops += 1;
             }
             ChurnOp::Insert { table, row } => {
-                assert!(store
-                    .insert(table, row.clone())
+                assert!(db
+                    .insert(table.as_str(), row.clone())
                     .expect("churn table exists"));
                 data_ops += 1;
             }
             ChurnOp::Retract { table, row } => {
-                assert!(store.retract(table, row).expect("churn table exists"));
+                assert!(db.remove(table.as_str(), row).expect("churn table exists"));
                 data_ops += 1;
             }
             ChurnOp::Checkpoint => {}
         }
-        states.push(store.to_instance().expect("instance"));
+        states.push(db.clone());
         journaled.push(data_ops);
     }
     (states, journaled)
@@ -128,10 +126,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
             // the crash hit between persistence and acknowledgement.
             let (recovered, report) = recover(&disk, k, fault);
             torn_tails += usize::from(report.torn_tail.is_some());
-            let got = recovered
-                .store()
-                .to_instance()
-                .unwrap_or_else(|e| panic!("recovered catalog unreadable ({fault:?}, k={k}): {e}"));
+            let got = recovered.database().snapshot();
             let candidates = [acked, (acked + 1).min(ops.len())];
             let matched = candidates.iter().find(|&&m| states[m] == got);
             let m = *matched.unwrap_or_else(|| {
@@ -141,11 +136,11 @@ fn every_crash_point_recovers_the_committed_prefix() {
                     acked + 1
                 )
             });
-            // The journal's absolute numbering must agree with the prefix.
+            // The WAL's absolute numbering must agree with the prefix.
             assert_eq!(
-                recovered.store().journal().end(),
+                recovered.op_count(),
                 journaled[m],
-                "{fault:?} at I/O op {k}: journal end diverges from prefix {m}"
+                "{fault:?} at I/O op {k}: op count diverges from prefix {m}"
             );
         }
     }
@@ -162,7 +157,7 @@ fn every_crash_point_recovers_the_committed_prefix() {
     }
     drop(store);
     let (recovered, _) = recover(&disk, total_io + 1, Fault::Crash);
-    assert_eq!(recovered.store().to_instance().unwrap(), states[ops.len()]);
+    assert_eq!(recovered.database().snapshot(), states[ops.len()]);
 }
 
 #[test]
@@ -190,7 +185,7 @@ fn group_commit_policies_recover_a_consistent_prefix() {
             }
             let (recovered, _) = DurableStore::open(Arc::new(disk.clone()), policy)
                 .unwrap_or_else(|e| panic!("recovery failed ({policy:?}, k={k}): {e}"));
-            let got = recovered.store().to_instance().unwrap();
+            let got = recovered.database().snapshot();
             assert!(
                 states.contains(&got),
                 "{policy:?} at I/O op {k}: recovered state is not a workload prefix \
@@ -225,7 +220,7 @@ fn short_reads_never_panic_and_stay_prefix_consistent() {
             Err(StoreError::Corrupt { .. }) | Err(StoreError::Io { .. }) => {}
             Err(other) => panic!("short read at op {k}: unexpected error {other:?}"),
             Ok((recovered, _)) => {
-                let got = recovered.store().to_instance().unwrap();
+                let got = recovered.database().snapshot();
                 assert!(
                     states.contains(&got),
                     "short read at op {k}: recovered state is not a workload prefix"
