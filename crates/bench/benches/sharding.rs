@@ -1,11 +1,11 @@
 //! PERF-SHARD: sharded session-fleet throughput — the scale claim of the
 //! sharded runtime.  The same fleet of customer sessions over one shared
 //! catalog runs on a single unsharded `Runtime` (the baseline) and on a
-//! `ShardedRuntime` at 1, 2, 4 and 8 shards with one stepping thread per
-//! shard.  Per-shard evaluation is pinned sequential so the sweep isolates
-//! the sharding/threading effect from the intra-query worker pool; the
-//! 1-shard row measures the pure routing/registry overhead against the
-//! baseline.
+//! `Runtime` with 1, 2, 4 and 8 shards with one stepping thread per shard.
+//! Per-shard evaluation is pinned sequential so the sweep isolates the
+//! sharding/threading effect from the intra-query worker pool; the 1-shard
+//! row differs from the baseline only by its one spawned stepping thread and
+//! explicit placement.
 
 use criterion::Criterion;
 use rtx::datalog::{Parallelism, ResidentDb};
@@ -41,11 +41,8 @@ fn benches(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         group.bench_function(format!("shards={shards}/sessions={sessions}"), |b| {
             b.iter(|| {
-                let sharded = ShardedRuntime::shared_with(
-                    Arc::clone(&resident),
-                    shards,
-                    Parallelism::sequential(),
-                );
+                let sharded =
+                    Runtime::with_shards(Arc::clone(&resident), shards, Parallelism::sequential());
                 std::thread::scope(|scope| {
                     for t in 0..shards {
                         let sharded = sharded.clone();

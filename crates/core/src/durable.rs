@@ -1,5 +1,4 @@
-//! A durable runtime: the resident session service backed by crash-safe
-//! storage.
+//! Durability: a crash-safe backing for the one [`Runtime`].
 //!
 //! [`Runtime`] alone serves sessions against an in-memory
 //! [`ResidentDb`](rtx_datalog::ResidentDb); a process restart loses the
@@ -8,7 +7,10 @@
 //! logged through the store's [`Vfs`] *before* it reaches the resident
 //! database, and [`Runtime::open_durable`] recovers the exact committed
 //! catalog after a crash — snapshot, WAL tail replay, torn-tail handling and
-//! all (see the `rtx-store` crate docs for the lifecycle).
+//! all (see the `rtx-store` crate docs for the lifecycle).  The runtime it
+//! serves ([`DurableRuntime::runtime`]) is an ordinary [`Runtime`] of any
+//! shard count ([`ShardedRuntime::open_durable`]); recovery does not depend
+//! on the shard count.
 //!
 //! Ordering per mutation: WAL append (+ fsync per [`FsyncPolicy`]) →
 //! resident apply, which bumps exactly the touched relation's version stamp
@@ -16,8 +18,9 @@
 //! [`DurableRuntime::checkpoint`] snapshots the resident database and leaves
 //! it, and the sessions reading it, untouched.
 
-use crate::shard::{ShardedRuntime, ShardedSession};
-use crate::{CoreError, Runtime, Session, SpocusTransducer};
+use crate::shard::ShardedRuntime;
+use crate::{CoreError, Runtime};
+use rtx_datalog::Parallelism;
 use rtx_relational::Tuple;
 use rtx_store::{DurableStore, FsyncPolicy, RecoveryReport, Vfs};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -46,10 +49,23 @@ impl Runtime {
         vfs: Arc<dyn Vfs>,
         policy: FsyncPolicy,
     ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
+        ShardedRuntime::open_durable(vfs, policy, 1)
+    }
+}
+
+impl ShardedRuntime {
+    /// [`Runtime::open_durable`] serving the recovered catalog on a runtime
+    /// with `shards` shard labels ([`Runtime::with_shards`]).
+    pub fn open_durable(
+        vfs: Arc<dyn Vfs>,
+        policy: FsyncPolicy,
+        shards: usize,
+    ) -> Result<(DurableRuntime, RecoveryReport), CoreError> {
         let (store, report) = DurableStore::open(vfs, policy)?;
+        let db = Arc::clone(store.database());
         Ok((
             DurableRuntime {
-                runtime: Runtime::shared(Arc::clone(store.database())),
+                runtime: Runtime::with_shards(db, shards, Parallelism::default()),
                 store: Mutex::new(store),
             },
             report,
@@ -61,15 +77,6 @@ impl DurableRuntime {
     /// The session runtime serving the recovered catalog.
     pub fn runtime(&self) -> &Runtime {
         &self.runtime
-    }
-
-    /// Opens a named session — delegates to [`Runtime::open_session`].
-    pub fn open_session(
-        &self,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-    ) -> Result<Session, CoreError> {
-        self.runtime.open_session(name, transducer)
     }
 
     /// Creates a catalog table durably, then makes it resident.
@@ -104,97 +111,6 @@ impl DurableRuntime {
     /// Checkpoints the backing store: snapshots the catalog and truncates
     /// the WAL (see [`DurableStore::checkpoint`]).  The resident database
     /// and open sessions are unaffected.
-    pub fn checkpoint(&self) -> Result<(), CoreError> {
-        Ok(lock(&self.store).checkpoint()?)
-    }
-
-    /// The backing store's snapshot/WAL epoch (bumped per checkpoint).
-    pub fn epoch(&self) -> u64 {
-        lock(&self.store).epoch()
-    }
-}
-
-/// A [`ShardedRuntime`] whose catalog survives process crashes: **one**
-/// [`DurableStore`] write-ahead logs every catalog mutation and owns the
-/// single `Arc<ResidentDb>` every shard reads — shards never hold divergent
-/// catalog copies, and recovery rebuilds the fleet's database bit-identically
-/// regardless of the shard count it reopens with.
-#[derive(Debug)]
-pub struct ShardedDurableRuntime {
-    sharded: ShardedRuntime,
-    store: Mutex<DurableStore>,
-}
-
-impl ShardedRuntime {
-    /// Opens (or recovers) a sharded durable runtime on `vfs`: persisted
-    /// state is recovered by the [`DurableStore`] and its one resident
-    /// database served to sessions on `shards` shard runtimes.  The fsync
-    /// `policy` may be overridden by the `RTX_FSYNC` environment variable
-    /// (see [`FsyncPolicy::from_env`]; a malformed value is a hard error).
-    pub fn open_durable(
-        vfs: Arc<dyn Vfs>,
-        policy: FsyncPolicy,
-        shards: usize,
-    ) -> Result<(ShardedDurableRuntime, RecoveryReport), CoreError> {
-        let (store, report) = DurableStore::open(vfs, policy)?;
-        Ok((
-            ShardedDurableRuntime {
-                sharded: ShardedRuntime::shared(Arc::clone(store.database()), shards),
-                store: Mutex::new(store),
-            },
-            report,
-        ))
-    }
-}
-
-impl ShardedDurableRuntime {
-    /// The sharded session runtime serving the recovered catalog.
-    pub fn sharded(&self) -> &ShardedRuntime {
-        &self.sharded
-    }
-
-    /// Opens a named session on its home shard — delegates to
-    /// [`ShardedRuntime::open_session`].
-    pub fn open_session(
-        &self,
-        name: impl Into<String>,
-        transducer: impl Into<Arc<SpocusTransducer>>,
-    ) -> Result<ShardedSession, CoreError> {
-        self.sharded.open_session(name, transducer)
-    }
-
-    /// Creates a catalog table durably, then makes it resident for every
-    /// shard.
-    pub fn create_table(
-        &self,
-        name: impl Into<String>,
-        arity: usize,
-        attributes: Option<Vec<String>>,
-    ) -> Result<(), CoreError> {
-        Ok(lock(&self.store).create_table(name, arity, attributes)?)
-    }
-
-    /// Inserts a catalog row durably, then makes it resident.  Open
-    /// sessions on every shard observe the change at their next step.
-    /// Returns `true` if the row was new.
-    pub fn insert(&self, table: &str, row: Tuple) -> Result<bool, CoreError> {
-        Ok(lock(&self.store).insert(table, row)?)
-    }
-
-    /// Retracts a catalog row durably, then removes it from the resident
-    /// database shared by every shard.  Returns `true` if the row was
-    /// present.
-    pub fn retract(&self, table: &str, row: &Tuple) -> Result<bool, CoreError> {
-        Ok(lock(&self.store).retract(table, row)?)
-    }
-
-    /// Forces every acknowledged write to stable storage, regardless of the
-    /// fsync policy.
-    pub fn sync(&self) -> Result<(), CoreError> {
-        Ok(lock(&self.store).sync()?)
-    }
-
-    /// Checkpoints the backing store — see [`DurableRuntime::checkpoint`].
     pub fn checkpoint(&self) -> Result<(), CoreError> {
         Ok(lock(&self.store).checkpoint()?)
     }
@@ -267,7 +183,10 @@ mod tests {
 
         let (recovered, report) = open(&vfs);
         assert!(report.replayed > 0);
-        let session = recovered.open_session("customer", models::short()).unwrap();
+        let session = recovered
+            .runtime()
+            .open_session("customer", models::short())
+            .unwrap();
         let mut session = session;
         for input in models::figure1_inputs().iter() {
             session.step(input).unwrap();
@@ -313,7 +232,7 @@ mod tests {
         let (rt, report) =
             ShardedRuntime::open_durable(Arc::new(vfs.clone()), FsyncPolicy::Always, 3).unwrap();
         assert_eq!(report, RecoveryReport::default());
-        assert_eq!(rt.sharded().shard_count(), 3);
+        assert_eq!(rt.runtime().shard_count(), 3);
         let db = models::figure1_database();
         for (name, relation) in db.iter() {
             rt.create_table(name.as_str(), relation.arity(), None)
@@ -328,7 +247,7 @@ mod tests {
         let transducer = Arc::new(models::short());
         let mut sessions: Vec<_> = (0..3)
             .map(|i| {
-                rt.sharded()
+                rt.runtime()
                     .open_session_on(i, format!("s{i}"), Arc::clone(&transducer))
                     .unwrap()
             })
@@ -356,7 +275,7 @@ mod tests {
                 &Tuple::new(vec![Value::str("economist"), Value::int(700)])
             ));
         }
-        let expect = rt.sharded().database().snapshot();
+        let expect = rt.runtime().database().snapshot();
         drop(sessions);
         drop(rt); // crash
 
@@ -365,7 +284,7 @@ mod tests {
         let (recovered, report) =
             ShardedRuntime::open_durable(Arc::new(vfs), FsyncPolicy::Always, 2).unwrap();
         assert!(report.replayed > 0);
-        assert_eq!(recovered.sharded().database().snapshot(), expect);
+        assert_eq!(recovered.runtime().database().snapshot(), expect);
     }
 
     #[test]

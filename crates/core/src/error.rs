@@ -34,6 +34,13 @@ pub enum CoreError {
         /// Explanation of the problem.
         detail: String,
     },
+    /// A session was placed on a shard the runtime does not have.
+    ShardOutOfRange {
+        /// The requested shard.
+        shard: usize,
+        /// The runtime's shard count.
+        shards: usize,
+    },
     /// A step input was rejected by the session's enforcement gate
     /// ([`MonitorPolicy::Enforce`](crate::MonitorPolicy::Enforce)): admitting
     /// it would drive the run into an error state.  The run is left exactly
@@ -72,6 +79,9 @@ impl fmt::Display for CoreError {
             CoreError::SchemaMismatch { detail } => write!(f, "schema mismatch: {detail}"),
             CoreError::Parse { detail } => write!(f, "transducer parse error: {detail}"),
             CoreError::Runtime { detail } => write!(f, "runtime error: {detail}"),
+            CoreError::ShardOutOfRange { shard, shards } => {
+                write!(f, "shard {shard} out of range: this runtime has {shards} shards")
+            }
             CoreError::StepRejected {
                 step,
                 constraint,

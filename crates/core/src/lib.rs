@@ -33,18 +33,16 @@
 //!   [`ResidentDb`](rtx_datalog::ResidentDb) and serving many named
 //!   concurrent [`Session`]s, each a transducer run fed one input at a time
 //!   and evaluated incrementally against the cumulative-state deltas;
-//! * [`durable`] — the same service backed by crash-safe storage: a
+//! * [`shard`] — a shard is a routing label on a [`Session`]: a [`Runtime`]
+//!   built [`with_shards`](Runtime::with_shards) places each session by name
+//!   hash, and the front end's per-shard worker threads each own the
+//!   sessions of one label.  The runtime keeps one name registry and one
+//!   health record, and splits its worker budget across the shards
+//!   ([`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among));
+//! * [`durable`] — durability is a backing of the one [`Runtime`]: a
 //!   [`DurableRuntime`] write-ahead logs every catalog mutation through
 //!   `rtx-store`'s WAL + snapshot layer, and [`Runtime::open_durable`]
-//!   recovers the committed catalog after a crash;
-//! * [`shard`] — the scale-out shape: a [`ShardedRuntime`] routes sessions
-//!   by name hash across `N` shard runtimes that all read the **same**
-//!   `Arc<ResidentDb>` (route → shard-local step → snapshot refresh →
-//!   health aggregation), with a fleet-wide name registry, per-shard worker
-//!   budgets split from one total
-//!   ([`Parallelism::divided_among`](rtx_datalog::Parallelism::divided_among)),
-//!   and one durable store feeding every shard
-//!   ([`durable::ShardedDurableRuntime`]).
+//!   recovers the committed catalog after a crash, for any shard count.
 //!
 //! The prepare/resident lifecycle: a one-shot
 //! [`RelationalTransducer::run`] makes its database resident for the
@@ -82,7 +80,7 @@ pub use builder::SpocusBuilder;
 pub use control::ControlDiscipline;
 pub use demand::{SessionDemand, SessionGoal};
 pub use dsl::parse_transducer;
-pub use durable::{DurableRuntime, ShardedDurableRuntime};
+pub use durable::DurableRuntime;
 pub use error::CoreError;
 pub use propositional::PropositionalTransducer;
 pub use rtx_datalog::DemandPolicy;

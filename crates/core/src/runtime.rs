@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// simple ownership records (name sets, counters) that are valid after any
 /// partial update, so a panic in one session must not wedge
 /// [`Runtime::open_session`] — or session drop — for every sibling.
-pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -352,6 +352,10 @@ struct HealthInner {
 struct RuntimeInner {
     db: Arc<ResidentDb>,
     sessions: Mutex<BTreeSet<String>>,
+    /// Number of shard labels sessions are routed over (at least one).
+    shards: usize,
+    /// The per-shard evaluation budget: the configured total divided among
+    /// the shards.
     parallelism: Parallelism,
     config: Mutex<RuntimeConfig>,
     health: Mutex<HealthInner>,
@@ -364,6 +368,12 @@ struct RuntimeInner {
 /// A resident transducer runtime: one shared [`ResidentDb`] serving many
 /// named concurrent [`Session`]s.  Cheaply clonable (`Arc` inside); clones
 /// share the database and the session registry.
+///
+/// Every session carries a shard label ([`Session::shard`]), fixed at open:
+/// the name's hash ([`Runtime::shard_of`]) or an explicit placement
+/// ([`Runtime::open_session_on`]).  The label changes no semantics — a
+/// front end uses it to pick the worker thread that owns the session (see
+/// [`shard`](crate::shard)).  A plain runtime has one shard.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     inner: Arc<RuntimeInner>,
@@ -393,26 +403,44 @@ impl Runtime {
     /// corresponding explicit setter ([`Runtime::set_monitor_policy`] /
     /// [`Runtime::set_demand_policy`]) overrides it.
     pub fn shared_with(db: Arc<ResidentDb>, parallelism: Parallelism) -> Self {
-        let monitor = std::env::var("RTX_MONITOR").ok();
-        let demand = std::env::var("RTX_DEMAND").ok();
-        Runtime::shared_with_settings(db, parallelism, monitor.as_deref(), demand.as_deref())
+        Runtime::with_shards(db, 1, parallelism)
     }
 
-    /// [`Runtime::shared_with`] over explicit raw `RTX_MONITOR`/`RTX_DEMAND`
+    /// [`Runtime::shared_with`] with `shards` routing labels (clamped to at
+    /// least one).  `parallelism` is the **total** worker budget: sessions
+    /// evaluate under
+    /// [`parallelism.divided_among(shards)`](Parallelism::divided_among), so
+    /// one stepping thread per shard never oversubscribes it.
+    pub fn with_shards(db: Arc<ResidentDb>, shards: usize, parallelism: Parallelism) -> Self {
+        let monitor = std::env::var("RTX_MONITOR").ok();
+        let demand = std::env::var("RTX_DEMAND").ok();
+        Runtime::with_settings(
+            db,
+            shards,
+            parallelism,
+            monitor.as_deref(),
+            demand.as_deref(),
+        )
+    }
+
+    /// [`Runtime::with_shards`] over explicit raw `RTX_MONITOR`/`RTX_DEMAND`
     /// values instead of the process environment — the testable core of the
     /// strict env-override path.
-    pub(crate) fn shared_with_settings(
+    pub(crate) fn with_settings(
         db: Arc<ResidentDb>,
+        shards: usize,
         parallelism: Parallelism,
         monitor_raw: Option<&str>,
         demand_raw: Option<&str>,
     ) -> Self {
         let (policy, demand, env_errors) = resolve_env_config(monitor_raw, demand_raw);
+        let shards = shards.max(1);
         Runtime {
             inner: Arc::new(RuntimeInner {
                 db,
                 sessions: Mutex::new(BTreeSet::new()),
-                parallelism,
+                shards,
+                parallelism: parallelism.divided_among(shards),
                 config: Mutex::new(RuntimeConfig {
                     budget: EvalBudget::UNLIMITED,
                     policy,
@@ -429,9 +457,27 @@ impl Runtime {
         &self.inner.db
     }
 
-    /// The [`Parallelism`] policy sessions of this runtime evaluate under.
+    /// The [`Parallelism`] policy sessions of this runtime evaluate under:
+    /// the total budget divided among the shards.
     pub fn parallelism(&self) -> Parallelism {
         self.inner.parallelism
+    }
+
+    /// Number of shard labels sessions are routed over.
+    pub fn shard_count(&self) -> usize {
+        self.inner.shards
+    }
+
+    /// The deterministic home shard of a session name (FNV-1a over the name
+    /// bytes, mod shard count) — stable across processes and platforms, so a
+    /// front-end fleet routes the same name to the same shard everywhere.
+    pub fn shard_of(&self, name: &str) -> usize {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in name.as_bytes() {
+            hash ^= u64::from(*byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (hash % self.inner.shards as u64) as usize
     }
 
     /// Sets the default per-step [`EvalBudget`] for sessions opened after
@@ -502,14 +548,29 @@ impl Runtime {
     }
 
     /// Opens a named session running `transducer` against the shared
-    /// database.  Fails if the name is already in use or if the database is
-    /// missing one of the transducer's `db` relations.
+    /// database, on the name's home shard ([`Runtime::shard_of`]).  Fails if
+    /// the name is already in use or if the database is missing one of the
+    /// transducer's `db` relations.
     pub fn open_session(
         &self,
         name: impl Into<String>,
         transducer: impl Into<Arc<SpocusTransducer>>,
     ) -> Result<Session, CoreError> {
-        self.open_session_inner(name.into(), transducer.into(), None)
+        let name = name.into();
+        self.open_session_inner(self.shard_of(&name), name, transducer.into(), None)
+    }
+
+    /// [`Runtime::open_session`] on an explicit shard — for placement
+    /// policies beyond name hashing.  A shard at or beyond
+    /// [`Runtime::shard_count`] is refused with
+    /// [`CoreError::ShardOutOfRange`].
+    pub fn open_session_on(
+        &self,
+        shard: usize,
+        name: impl Into<String>,
+        transducer: impl Into<Arc<SpocusTransducer>>,
+    ) -> Result<Session, CoreError> {
+        self.open_session_inner(shard, name.into(), transducer.into(), None)
     }
 
     /// Opens a named session that only ever reads the demanded footprint of
@@ -531,15 +592,35 @@ impl Runtime {
         transducer: impl Into<Arc<SpocusTransducer>>,
         demand: SessionDemand,
     ) -> Result<Session, CoreError> {
-        self.open_session_inner(name.into(), transducer.into(), Some(demand))
+        let name = name.into();
+        self.open_session_inner(self.shard_of(&name), name, transducer.into(), Some(demand))
+    }
+
+    /// [`Runtime::open_session_with_demand`] on an explicit shard, refused
+    /// like [`Runtime::open_session_on`] when the shard is out of range.
+    pub fn open_session_with_demand_on(
+        &self,
+        shard: usize,
+        name: impl Into<String>,
+        transducer: impl Into<Arc<SpocusTransducer>>,
+        demand: SessionDemand,
+    ) -> Result<Session, CoreError> {
+        self.open_session_inner(shard, name.into(), transducer.into(), Some(demand))
     }
 
     fn open_session_inner(
         &self,
+        shard: usize,
         name: String,
         transducer: Arc<SpocusTransducer>,
         demand: Option<SessionDemand>,
     ) -> Result<Session, CoreError> {
+        if shard >= self.inner.shards {
+            return Err(CoreError::ShardOutOfRange {
+                shard,
+                shards: self.inner.shards,
+            });
+        }
         // A malformed RTX_* override is a hard refusal, not a silent
         // default: a fleet must fail at session-open time, loudly naming
         // the variable, until the environment is fixed or an explicit
@@ -597,6 +678,7 @@ impl Runtime {
         let schema = transducer.schema();
         Ok(Session {
             name,
+            shard,
             runtime: Arc::clone(&self.inner),
             inputs: InstanceSequence::empty(schema.input().clone()),
             outputs: InstanceSequence::empty(schema.output().clone()),
@@ -636,6 +718,7 @@ impl Runtime {
 #[derive(Debug)]
 pub struct Session {
     name: String,
+    shard: usize,
     runtime: Arc<RuntimeInner>,
     transducer: Arc<SpocusTransducer>,
     stepper: IncrementalStepper,
@@ -652,6 +735,11 @@ impl Session {
     /// The session name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The shard label the session was opened on.
+    pub fn shard(&self) -> usize {
+        self.shard
     }
 
     /// The transducer this session runs.
@@ -722,6 +810,11 @@ impl Session {
     /// opened with the runtime default).
     pub fn set_step_budget(&mut self, budget: EvalBudget) {
         self.stepper.set_budget(budget);
+    }
+
+    /// The session's per-step [`EvalBudget`].
+    pub fn step_budget(&self) -> EvalBudget {
+        self.stepper.evaluator.budget()
     }
 
     /// The violations recorded by the attached monitor so far, in detection
@@ -1280,8 +1373,9 @@ mod tests {
         // malformed override and refuses to open sessions, naming the
         // variable.
         let db = Arc::new(ResidentDb::new(models::figure1_database()));
-        let runtime = Runtime::shared_with_settings(
+        let runtime = Runtime::with_settings(
             Arc::clone(&db),
+            1,
             Parallelism::default(),
             Some("enforec"),
             Some("ful"),
@@ -1313,8 +1407,9 @@ mod tests {
         let _ok = runtime.open_session("a", models::short()).unwrap();
 
         // Well-formed overrides configure the runtime without any refusal.
-        let runtime = Runtime::shared_with_settings(
+        let runtime = Runtime::with_settings(
             db,
+            1,
             Parallelism::default(),
             Some(" Enforce "),
             Some("full"),

@@ -1,5 +1,5 @@
 //! `rtx-loadgen` — a load generator simulating a fleet of concurrent
-//! customer sessions against the sharded runtime.
+//! customer sessions against the session runtime.
 //!
 //! ```text
 //! rtx-loadgen [--mode direct|wire] [--sessions N] [--steps K] [--shards S]
@@ -12,14 +12,14 @@
 //! direct mode).  Session `i`'s inputs are deterministic in `--seed`, so two
 //! runs of the same configuration replay the same fleet.
 //!
-//! * `--mode direct` (default) opens sessions in process on a
-//!   [`ShardedRuntime`] — this is the scale path: `--sessions 100000` holds
-//!   100k+ concurrent sessions over one shared catalog.
+//! * `--mode direct` (default) opens sessions in process on a [`Runtime`]
+//!   with `--shards` shard labels — this is the scale path: `--sessions
+//!   100000` holds 100k+ concurrent sessions over one shared catalog.
 //! * `--mode wire` drives the same traffic through the `rtx-frontd` line
 //!   protocol (spawning an in-process server unless `--addr` points at a
 //!   running one), retrying on `BUSY` backpressure.
 
-use rtx_core::{MonitorPolicy, ShardedRuntime};
+use rtx_core::{MonitorPolicy, Runtime};
 use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_front::{combined_catalog, render_instance, FrontClient, FrontConfig, FrontServer};
 use rtx_relational::InstanceSequence;
@@ -94,7 +94,7 @@ fn plan(i: usize, steps: usize, seed: u64, catalog: &rtx_relational::Instance) -
 
 fn run_direct(config: &Config) -> Result<u64, String> {
     let catalog = combined_catalog();
-    let fleet = ShardedRuntime::shared_with(
+    let fleet = Runtime::with_shards(
         Arc::new(ResidentDb::new(catalog.clone())),
         config.shards,
         Parallelism::default(),

@@ -1,9 +1,11 @@
 //! # rtx-front
 //!
-//! A wire-protocol front-end for the sharded session runtime
-//! ([`rtx_core::ShardedRuntime`]), plus the pieces a load generator needs to
-//! drive it: a combined catalog covering every bundled business model, a
-//! model registry, and a line-protocol client.
+//! A wire-protocol front-end for the session runtime
+//! ([`rtx_core::Runtime`]), plus the pieces a load generator needs to drive
+//! it: a combined catalog covering every bundled business model, a model
+//! registry, and a line-protocol client.  The fleet is one `Runtime` built
+//! with a shard count; a shard is the label of the worker thread that owns a
+//! session.
 //!
 //! The paper's setting is many customers interacting with one electronic
 //! commerce service over a network; this crate is that network boundary.
@@ -14,8 +16,9 @@
 //!
 //! * one accept loop, one thread per connection, parsing line-delimited
 //!   commands;
-//! * one worker thread per shard **owning** that shard's sessions (sessions
-//!   never migrate, so no session-level locking exists anywhere);
+//! * one worker thread per shard **owning** the sessions labelled with that
+//!   shard ([`rtx_core::Session::shard`]; sessions never migrate, so no
+//!   session-level locking exists anywhere);
 //! * a bounded [`mpsc::sync_channel`] in front of every shard worker: a
 //!   command for a full queue is answered `BUSY` immediately — callers see
 //!   overload as a typed reply, never as an unbounded queue or a stalled
@@ -39,8 +42,9 @@
 //! | `SHUTDOWN` | `OK bye` |
 //!
 //! plus `ERR <detail>` for any failure and `BUSY <detail>` for backpressure.
-//! A `BATCH` count above [`MAX_BATCH`] is answered `ERR` and ends the
-//! connection.
+//! Every read is bounded: a line longer than [`MAX_LINE_BYTES`], a `BATCH`
+//! count above [`MAX_BATCH`] or a `BATCH` body longer than
+//! [`MAX_BATCH_BYTES`] is answered `ERR` and ends the connection.
 //! `<facts>` is `-` (empty instance) or `rel(v,…);rel(v,…)` with integer or
 //! bare-string values — see [`parse_facts`]/[`render_instance`], which
 //! round-trip.
@@ -48,12 +52,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rtx_core::{models, SessionDemand, ShardedRuntime, ShardedSession, SpocusTransducer};
+use rtx_core::{models, Runtime, Session, SessionDemand, SpocusTransducer};
 use rtx_datalog::{Parallelism, ResidentDb};
 use rtx_relational::{Instance, Schema, Tuple, Value};
 use rtx_workloads::scenarios::Scenario;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -251,12 +255,12 @@ struct Job {
     reply: mpsc::Sender<Vec<String>>,
 }
 
-/// The line-protocol server: a [`ShardedRuntime`] fronted by one bounded
-/// queue + worker thread per shard.  See the [crate docs](self) for the
+/// The line-protocol server: a [`Runtime`] fronted by one bounded queue +
+/// worker thread per shard.  See the [crate docs](self) for the
 /// protocol and threading model.
 pub struct FrontServer {
     listener: TcpListener,
-    fleet: ShardedRuntime,
+    fleet: Runtime,
     queues: Vec<mpsc::SyncSender<Job>>,
     workers: Vec<thread::JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
@@ -267,7 +271,7 @@ impl FrontServer {
     /// the shard workers over a freshly resident [`combined_catalog`].
     pub fn bind(addr: &str, config: FrontConfig) -> io::Result<FrontServer> {
         let listener = TcpListener::bind(addr)?;
-        let fleet = ShardedRuntime::shared_with(
+        let fleet = Runtime::with_shards(
             Arc::new(ResidentDb::new(combined_catalog())),
             config.shards,
             config.parallelism,
@@ -301,7 +305,9 @@ impl FrontServer {
 
     /// Serves connections until a client sends `SHUTDOWN`, then drains:
     /// joins every connection thread, closes the shard queues and joins the
-    /// workers.
+    /// workers.  Finished connection threads are reaped at every accept; a
+    /// connection whose thread cannot be spawned is closed and the loop
+    /// keeps accepting.
     pub fn serve(self) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
         let mut connections = Vec::new();
@@ -310,17 +316,19 @@ impl FrontServer {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
+            reap_finished(&mut connections);
             let fleet = self.fleet.clone();
             let queues = self.queues.clone();
             let shutdown = Arc::clone(&self.shutdown);
-            connections.push(
-                thread::Builder::new()
-                    .name("rtx-front-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, fleet, queues, shutdown, addr);
-                    })
-                    .expect("spawn connection handler"),
-            );
+            let spawned = thread::Builder::new()
+                .name("rtx-front-conn".to_string())
+                .spawn(move || {
+                    let _ = serve_connection(stream, fleet, queues, shutdown, addr);
+                });
+            // A failed spawn dropped the closure, and the stream with it.
+            if let Ok(handle) = spawned {
+                connections.push(handle);
+            }
         }
         for conn in connections {
             let _ = conn.join();
@@ -333,16 +341,60 @@ impl FrontServer {
     }
 }
 
+/// Joins, and removes from `connections`, the connection threads that have
+/// already finished.
+fn reap_finished(connections: &mut Vec<thread::JoinHandle<()>>) {
+    for finished in connections.extract_if(.., |connection| connection.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
 /// The most step lines one `BATCH` may carry.  A larger count is answered
 /// with `ERR` and the connection is closed.
 pub const MAX_BATCH: usize = 1 << 16;
+
+/// The most bytes one request line (a command or a `BATCH` step line) may
+/// carry, terminator excluded.  A longer line is answered with `ERR` and the
+/// connection is closed.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
+
+/// The most bytes the step lines of one `BATCH` may carry in total.  A
+/// larger body is answered with `ERR` and the connection is closed.
+pub const MAX_BATCH_BYTES: usize = 8 << 20;
+
+/// Answers `ERR <detail>` for a request that ends the connection.  The reply
+/// goes out in one write: closing over unread client bytes resets the
+/// connection, which would discard a reply still held back in pieces.
+fn refuse(writer: &mut TcpStream, detail: &str) -> io::Result<()> {
+    writer.write_all(format!("ERR {detail}\n").as_bytes())
+}
+
+/// Reads one line into `line` (cleared first), at most [`MAX_LINE_BYTES`]
+/// bytes plus the terminator.  Returns the bytes read, or `None` once the
+/// connection is over: at end of stream, or after refusing a longer line.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    writer: &mut TcpStream,
+    line: &mut String,
+) -> io::Result<Option<usize>> {
+    line.clear();
+    let read = reader.take(MAX_LINE_BYTES as u64 + 1).read_line(line)?;
+    if read > MAX_LINE_BYTES && !line.ends_with('\n') {
+        refuse(
+            writer,
+            &format!("line exceeds the limit of {MAX_LINE_BYTES} bytes"),
+        )?;
+        return Ok(None);
+    }
+    Ok((read > 0).then_some(read))
+}
 
 /// Handles one client connection: parse a command line, route it to the
 /// owning shard's queue (or answer directly for `HEALTH`/`SHUTDOWN`), relay
 /// the worker's reply lines.
 fn serve_connection(
     stream: TcpStream,
-    fleet: ShardedRuntime,
+    fleet: Runtime,
     queues: Vec<mpsc::SyncSender<Job>>,
     shutdown: Arc<AtomicBool>,
     server_addr: SocketAddr,
@@ -351,8 +403,7 @@ fn serve_connection(
     let mut writer = stream;
     let mut line = String::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if read_request_line(&mut reader, &mut writer, &mut line)?.is_none() {
             return Ok(());
         }
         let command = line.trim();
@@ -423,17 +474,22 @@ fn serve_connection(
                 if count > MAX_BATCH {
                     // The refused step lines may already be on the wire and
                     // would be read as commands: end the connection instead.
-                    writeln!(
-                        writer,
-                        "ERR batch of {count} steps exceeds the limit of {MAX_BATCH}"
-                    )?;
-                    return Ok(());
+                    let detail = format!("batch of {count} steps exceeds the limit of {MAX_BATCH}");
+                    return refuse(&mut writer, &detail);
                 }
                 let mut facts = Vec::new();
+                let mut step_line = String::new();
+                let mut body_bytes = 0;
                 for _ in 0..count {
-                    let mut step_line = String::new();
-                    if reader.read_line(&mut step_line)? == 0 {
+                    let Some(read) = read_request_line(&mut reader, &mut writer, &mut step_line)?
+                    else {
                         return Ok(());
+                    };
+                    body_bytes += read;
+                    if body_bytes > MAX_BATCH_BYTES {
+                        let detail =
+                            format!("batch body exceeds the limit of {MAX_BATCH_BYTES} bytes");
+                        return refuse(&mut writer, &detail);
                     }
                     facts.push(step_line.trim().to_string());
                 }
@@ -467,7 +523,7 @@ fn serve_connection(
 /// backpressure**: a full shard queue answers `BUSY` right away instead of
 /// blocking the connection or queueing without bound.
 fn dispatch(
-    fleet: &ShardedRuntime,
+    fleet: &Runtime,
     queues: &[mpsc::SyncSender<Job>],
     request: Request,
     writer: &mut TcpStream,
@@ -506,8 +562,8 @@ fn dispatch(
 
 /// One shard's worker loop: owns every session routed to this shard, and is
 /// the only thread that ever steps them.
-fn shard_worker(fleet: ShardedRuntime, jobs: mpsc::Receiver<Job>) {
-    let mut sessions: HashMap<String, ShardedSession> = HashMap::new();
+fn shard_worker(fleet: Runtime, jobs: mpsc::Receiver<Job>) {
+    let mut sessions: HashMap<String, Session> = HashMap::new();
     while let Ok(job) = jobs.recv() {
         let reply = execute(&fleet, &mut sessions, job.request);
         let _ = job.reply.send(reply);
@@ -515,8 +571,8 @@ fn shard_worker(fleet: ShardedRuntime, jobs: mpsc::Receiver<Job>) {
 }
 
 fn execute(
-    fleet: &ShardedRuntime,
-    sessions: &mut HashMap<String, ShardedSession>,
+    fleet: &Runtime,
+    sessions: &mut HashMap<String, Session>,
     request: Request,
 ) -> Vec<String> {
     match request {
@@ -730,7 +786,7 @@ mod tests {
     #[test]
     fn combined_catalog_covers_every_model() {
         let db = Arc::new(ResidentDb::new(combined_catalog()));
-        let fleet = ShardedRuntime::shared(Arc::clone(&db), 2);
+        let fleet = Runtime::with_shards(Arc::clone(&db), 2, Parallelism::default());
         for name in MODEL_NAMES {
             let model = lookup_model(name).unwrap();
             let _session = fleet
@@ -785,13 +841,100 @@ mod tests {
         serving.join().unwrap().unwrap();
     }
 
+    /// Expects the server to answer `ERR <reason>…` on `reader` and then
+    /// close the connection, and a fresh connection's `HEALTH` to answer.
+    fn assert_refused_then_serving(
+        reader: &mut BufReader<TcpStream>,
+        reason: &str,
+        addr: SocketAddr,
+    ) {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with(&format!("ERR {reason}")), "{reply}");
+        // The server closed that connection (or reset it over unread bytes).
+        reply.clear();
+        assert!(matches!(reader.read_line(&mut reply), Ok(0) | Err(_)));
+
+        let mut client = FrontClient::connect(addr).unwrap();
+        assert!(client.request("HEALTH").unwrap().starts_with("OK health"));
+    }
+
+    /// Writes `bytes` to a new connection from a helper thread (the server
+    /// may stop reading, and reset, midway), returning the reply reader.
+    fn send_hostile(addr: SocketAddr, bytes: Vec<u8>) -> BufReader<TcpStream> {
+        let hostile = TcpStream::connect(addr).unwrap();
+        let mut writer = hostile.try_clone().unwrap();
+        thread::spawn(move || {
+            let _ = writer.write_all(&bytes);
+        });
+        BufReader::new(hostile)
+    }
+
+    #[test]
+    fn a_line_without_a_newline_is_cut_at_the_line_limit() {
+        let server = FrontServer::bind("127.0.0.1:0", FrontConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let serving = thread::spawn(move || server.serve());
+
+        let mut reader = send_hostile(addr, vec![b'x'; 1 << 20]);
+        assert_refused_then_serving(&mut reader, "line exceeds the limit of 65536 bytes", addr);
+
+        let mut client = FrontClient::connect(addr).unwrap();
+        client.request_retrying("SHUTDOWN").unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_batch_body_over_the_byte_limit_is_refused() {
+        let server = FrontServer::bind("127.0.0.1:0", FrontConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let serving = thread::spawn(move || server.serve());
+
+        // 200 step lines of 60 000 bytes: each under the line limit, 12 MB
+        // in total.
+        let lines = 200;
+        let mut body = format!("BATCH x {lines}\n").into_bytes();
+        for _ in 0..lines {
+            body.extend(std::iter::repeat_n(b'x', 60_000));
+            body.push(b'\n');
+        }
+        assert!(body.len() > MAX_BATCH_BYTES);
+        let mut reader = send_hostile(addr, body);
+        assert_refused_then_serving(
+            &mut reader,
+            "batch body exceeds the limit of 8388608 bytes",
+            addr,
+        );
+
+        let mut client = FrontClient::connect(addr).unwrap();
+        client.request_retrying("SHUTDOWN").unwrap();
+        serving.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn reaping_drops_only_finished_connection_threads() {
+        let mut connections: Vec<thread::JoinHandle<()>> =
+            (0..3).map(|_| thread::spawn(|| {})).collect();
+        let (release, parked) = mpsc::channel::<()>();
+        connections.push(thread::spawn(move || {
+            let _ = parked.recv();
+        }));
+        while !connections[..3].iter().all(|c| c.is_finished()) {
+            thread::yield_now();
+        }
+        reap_finished(&mut connections);
+        assert_eq!(connections.len(), 1, "only the parked thread is left");
+        release.send(()).unwrap();
+        connections.pop().unwrap().join().unwrap();
+    }
+
     #[test]
     fn wire_steps_match_the_in_process_session() {
         // The front-end is a transport, not a semantics layer: a session
         // driven over the wire must produce byte-identical rendered outputs
         // to the same session stepped in process.
         let db = Arc::new(ResidentDb::new(combined_catalog()));
-        let reference_rt = ShardedRuntime::shared(db, 1);
+        let reference_rt = Runtime::shared(db);
         let mut reference = reference_rt
             .open_session("w", Arc::new(models::short()))
             .unwrap();

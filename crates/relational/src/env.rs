@@ -1,8 +1,8 @@
 //! Strict parsing of `RTX_*` environment overrides.
 //!
 //! Every process-wide knob of the workspace (`RTX_THREADS`, `RTX_DEMAND`,
-//! `RTX_MONITOR`, `RTX_FSYNC`, `RTX_SHARDS`, …) funnels through this module
-//! so that all of them share one contract:
+//! `RTX_MONITOR`, `RTX_FSYNC`) funnels through this module so that all of
+//! them share one contract:
 //!
 //! * **unset** (or set to the empty / all-whitespace string) means "no
 //!   override" — the caller's programmatic default applies;
